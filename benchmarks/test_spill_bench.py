@@ -49,10 +49,14 @@ def test_spill_decode_cold(benchmark, suite_trace):
     payload = _encode_trace(suite_trace)
     decoded = benchmark(_decode_trace, payload)
     assert decoded.total_accesses == suite_trace.total_accesses
+    # Both sides timed the same way, so the contract also holds (and the
+    # test runs) under --benchmark-disable, where benchmark.stats is None.
+    v3_best = min(timeit.repeat(lambda: _decode_trace(payload),
+                                number=1, repeat=5))
     v2_payload = encode_trace_v2(suite_trace)
     v2_best = min(timeit.repeat(lambda: _decode_trace(v2_payload),
                                 number=1, repeat=5))
-    assert v2_best >= DECODE_SPEEDUP_FLOOR * benchmark.stats.stats.min
+    assert v2_best >= DECODE_SPEEDUP_FLOOR * v3_best
 
 
 def test_spill_decode_v2_json(benchmark, suite_trace):

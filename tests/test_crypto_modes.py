@@ -129,6 +129,22 @@ class TestGhash:
         with pytest.raises(ConfigError):
             Ghash(bytes(8))
 
+    @given(h=st.binary(min_size=16, max_size=16),
+           data=st.binary(max_size=100),
+           aad=st.binary(max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_tables_match_gf128_horner(self, h, data, aad):
+        """The per-key lookup tables evaluate exactly the reference
+        polynomial: Horner over padded AAD, padded data, then lengths."""
+        key = int.from_bytes(h, "big")
+        body = aad.ljust(-(-len(aad) // 16) * 16, b"\0")
+        body += data.ljust(-(-len(data) // 16) * 16, b"\0")
+        y = 0
+        for offset in range(0, len(body), 16):
+            y = gf128_mul(y ^ int.from_bytes(body[offset : offset + 16], "big"), key)
+        y = gf128_mul(y ^ (len(aad) * 8 << 64 | len(data) * 8), key)
+        assert Ghash(h).digest(data, aad) == y.to_bytes(16, "big")
+
 
 class TestMacs:
     @pytest.mark.parametrize("mac_cls", [GcmMac, HmacSha256Mac])
