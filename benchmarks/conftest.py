@@ -1,8 +1,10 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one paper figure (quick workloads inside the
-timed body) and asserts the headline property of that figure afterwards,
-so `pytest benchmarks/ --benchmark-only` both times the harness and
+Each figure benchmark regenerates one paper figure (quick workloads
+inside the timed body, through the ``cold`` fixture so every round
+computes instead of returning a memoized trace-cache hit) and asserts
+the headline property of that figure afterwards, so
+`pytest benchmarks/ --benchmark-only` both times the harness and
 re-validates the reproduction.
 """
 
@@ -43,3 +45,25 @@ def disk_cache(tmp_path):
     yield TRACE_CACHE
     TRACE_CACHE.set_cache_dir(saved_dir)
     TRACE_CACHE.clear()
+
+
+@pytest.fixture
+def cold():
+    """Call ``fn(*args, **kwargs)`` with TRACE_CACHE cleared and disabled.
+
+    Every round then regenerates its traces and sweeps — the
+    ``--no-cache`` path — instead of timing a memoized lookup.  The
+    cache's enabled flag is restored afterwards.
+    """
+    from repro.sim.runner import TRACE_CACHE
+
+    def run(fn, *args, **kwargs):
+        enabled = TRACE_CACHE.enabled
+        TRACE_CACHE.clear()
+        TRACE_CACHE.enabled = False
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            TRACE_CACHE.enabled = enabled
+
+    return run

@@ -3,7 +3,7 @@
 from repro.experiments.registry import run_experiment
 
 
-def test_fig12_dnn_traffic(benchmark):
-    result = benchmark(run_experiment, "fig12", quick=True)
+def test_fig12_dnn_traffic(benchmark, cold):
+    result = benchmark(cold, run_experiment, "fig12", quick=True)
     for row in result.rows:
         assert row["MGX"] < 1.10 < row["BP"]

@@ -165,7 +165,8 @@ class EventSink:
     routes a whole batch's events with a few vectorized operations
     instead of one Python call per event.
 
-    Categories mirror :class:`~repro.core.metadata_cache.SegmentProbe`:
+    Categories follow the per-line walk of
+    :meth:`~repro.core.metadata_cache.MetadataCache.access`:
 
     ``misses``
         probed lines that were not resident (fetched with the stream);
@@ -491,10 +492,10 @@ class LruEngine:
                context: _RunContext | None) -> None:
         """Write back ``victim`` and update its ancestors, iteratively.
 
-        Mirrors ``MetadataCache._follow_chain``: each evicted dirty line
-        is written back and its parent accessed dirty, which can itself
-        miss and evict — the chain runs to completion before the stream
-        resumes.  ``context`` lets a chain that evicts (or inserts) a
+        Mirrors ``CounterModeProtection._handle_writeback``: each evicted
+        dirty line is written back and its parent accessed dirty, which
+        can itself miss and evict — the chain runs to completion before
+        the stream resumes.  ``context`` lets a chain that evicts (or inserts) a
         not-yet-touched run line re-schedule it.
         """
         while True:

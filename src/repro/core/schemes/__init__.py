@@ -11,8 +11,9 @@ Layout:
   :class:`ProtectionTraffic` accounting, :class:`NoProtection`.
 * :mod:`~repro.core.schemes.counter_mode` — the configurable
   :class:`CounterModeProtection` engine covering BP / MGX / MGX_VN /
-  MGX_MAC, with a vectorized ``price_batch`` fast path for the stateless
-  on-chip-VN configurations.
+  MGX_MAC: a vectorized ``price_batch`` for the stateless on-chip-VN
+  configurations and an engine-backed ``pricing_session()`` for the
+  cached ones.
 * :mod:`~repro.core.schemes.factory` — ``make_*`` constructors and
   :func:`scheme_suite`.
 * :mod:`~repro.core.schemes.tnpu` — the TNPU-like comparison point.

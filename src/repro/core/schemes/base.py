@@ -12,8 +12,9 @@ process`) or a whole :class:`~repro.core.access.AccessBatch` at once
 (:meth:`ProtectionScheme.price_batch`).  The batch entry point is the
 contract the sweep pipeline builds on: implementations may vectorize,
 but the result must be *exactly* equal — byte for byte, per traffic
-category — to processing the batch's accesses in order.  The default
-implementation guarantees that by delegating to :meth:`process`.
+category — to processing the batch's accesses in order.  Every pricing
+run goes through :meth:`ProtectionScheme.pricing_session`, which prices a
+stream of batches in order with the scheme's state held open.
 """
 
 from __future__ import annotations
@@ -146,43 +147,21 @@ class ProtectionScheme:
         """Traffic generated by a whole batch of block transfers.
 
         Equivalent — byte for byte, per category — to processing the
-        batch's accesses in order and merging the results.  Subclasses
-        override this with vectorized fast paths where their pricing is
-        stateless; stateful schemes inherit this exact per-access walk.
+        batch's accesses in order and merging the results.
         """
-        traffic = ProtectionTraffic()
-        for access in batch.to_accesses():
-            traffic.merge(self.process(access))
-        return traffic
-
-    def price_trace(self, batches: list[AccessBatch]) -> list[ProtectionTraffic]:
-        """Traffic of a whole trace, one :class:`ProtectionTraffic` per batch.
-
-        Equivalent — byte for byte, per category, per batch — to calling
-        :meth:`price_batch` on each batch in order.  Stateful schemes
-        override this to amortize their internal state handling (the
-        reuse-distance LRU engine prices the entire metadata-line stream
-        of a trace in one pass); the default simply walks the batches.
-        """
-        return [self.price_batch(batch) for batch in batches]
+        raise NotImplementedError
 
     def pricing_session(self) -> "PricingSession":
         """A stateful handle for pricing a stream of batches in order.
 
         ``[session.price(b) for b in batches]`` followed by
-        ``session.close()`` equals :meth:`price_trace` on the same
-        batches exactly; the session form lets callers consume chunked
-        traces (generator phases) batch by batch without ever holding
-        the whole trace — stateful schemes keep their engine state open
-        across the stream instead of reloading it per batch.
+        ``session.close()`` equals calling :meth:`price_batch` on each
+        batch in order exactly; the session form lets callers consume
+        chunked traces (generator phases) batch by batch without ever
+        holding the whole trace — stateful schemes keep their engine
+        state open across the stream instead of reloading it per batch.
         """
         return PricingSession(self)
-
-    @property
-    def vectorizes(self) -> bool:
-        """Whether :meth:`price_batch` has a columnar fast path, letting
-        callers skip the structure-of-arrays conversion when it doesn't."""
-        return False
 
     def finish(self) -> ProtectionTraffic:
         """End-of-run traffic (dirty metadata writebacks).  Idempotent."""
@@ -206,9 +185,9 @@ class PricingSession:
     subclass from :meth:`ProtectionScheme.pricing_session` that loads
     engine state once, prices every batch against it, and writes the
     state (and stats) back on :meth:`close` — so a multi-gigabyte trace
-    can stream through in bounded memory.  ``close`` is idempotent and,
-    mirroring :meth:`ProtectionScheme.price_trace`, is *not* called when
-    pricing raises: a failed run writes no state back.
+    can stream through in bounded memory.  ``close`` is idempotent and
+    the context manager does *not* call it when pricing raises: a failed
+    run writes no state back.
     """
 
     def __init__(self, scheme: ProtectionScheme) -> None:
@@ -241,10 +220,6 @@ class NoProtection(ProtectionScheme):
         _add_data(traffic, access, access.size)
         self.stats.add("data_bytes", access.size)
         return traffic
-
-    @property
-    def vectorizes(self) -> bool:
-        return True
 
     def price_batch(self, batch: AccessBatch) -> ProtectionTraffic:
         if len(batch) == 0:

@@ -40,19 +40,22 @@ once.
 Cached/tree configurations (BP, MGX_MAC) are order-dependent through the
 LRU metadata cache — but only their *sequential* accesses mutate it:
 gathers and per-access-MAC transfers price with closed-form arithmetic
-that never touches LRU state.  :meth:`CounterModeProtection.price_trace`
-therefore decomposes every batch into its pure component (data
-amplification, gather MAC/VN/tree costs — evaluated as NumPy columns)
-and the ordered sequence of *sequential runs*, and streams the runs —
+that never touches LRU state.  Their
+:meth:`~CounterModeProtection.pricing_session` therefore decomposes
+every batch into its pure component (data amplification, gather
+MAC/VN/tree costs — evaluated as NumPy columns) and the ordered
+sequence of *sequential runs*, and streams the runs —
 each touching its metadata lines exactly once in ascending order, per
 the stream-buffer guarantee — through one
-:class:`~repro.core.lru_engine.LruEngine` pass per trace, integrity-tree
+:class:`~repro.core.lru_engine.LruEngine` pass per session, integrity-tree
 walks and write-back chains included.  Runs at least as large as the
 cache take the closed-form flood path instead.
-:meth:`~CounterModeProtection.price_batch` prices a one-batch trace the
+:meth:`~CounterModeProtection.price_batch` prices a one-batch session the
 same way.  Both batch paths are pinned byte-for-byte against the
-per-access walk by ``tests/test_batch_pricing.py``, and the engine
-against :meth:`MetadataCache.access` by ``tests/test_lru_engine.py``.
+per-access walk (:meth:`~CounterModeProtection.process`, one
+:meth:`MetadataCache.access` per metadata line) by
+``tests/test_batch_pricing.py``, and the engine against
+:meth:`MetadataCache.access` by ``tests/test_lru_engine.py``.
 """
 
 from __future__ import annotations
@@ -249,23 +252,19 @@ class CounterModeProtection(ProtectionScheme):
         self._account(access, traffic)
         return traffic
 
-    @property
-    def vectorizes(self) -> bool:
-        return True
-
     def price_batch(self, batch: AccessBatch) -> ProtectionTraffic:
-        """Batch pricing: fully vectorized when stateless, segment-walked
+        """Batch pricing: fully vectorized when stateless, engine-walked
         otherwise.
 
         On-chip-VN cacheless configurations evaluate the identical
         integer arithmetic over whole columns.  Cached configurations
         vectorize their pure component (amplification, gather metadata)
-        and replay only the sequential runs against the LRU cache, via
-        segment probes.  Both are byte-for-byte equal to the per-access
+        and stream only the sequential runs through the reuse-distance
+        LRU engine.  Both are byte-for-byte equal to the per-access
         walk.
         """
         if len(batch) == 0:
-            return super().price_batch(batch)
+            return ProtectionTraffic()
         if self._cache is not None:
             return self._price_batch_cached(batch)
         return self._price_batch_stateless(batch)
@@ -429,25 +428,6 @@ class CounterModeProtection(ProtectionScheme):
         self._account_batch(batch, traffic)
         return traffic
 
-    def price_trace(self, batches: list[AccessBatch]) -> list[ProtectionTraffic]:
-        """One engine pass over the whole trace's metadata-line stream.
-
-        Cached/tree configurations load the LRU state into the
-        reuse-distance engine once, stream every batch's sequential runs
-        (and the walks and write-back chains they trigger) through it,
-        and store the final state back — byte-identical to pricing the
-        batches one at a time, without per-batch state churn.  The same
-        session object serves chunked traces through
-        :meth:`pricing_session` (``sim/perf.run`` streams generator
-        phases batch by batch without materializing the trace).
-        """
-        if not batches:
-            return []
-        session = self.pricing_session()
-        traffics = [session.price(batch) for batch in batches]
-        session.close()
-        return traffics
-
     def pricing_session(self) -> PricingSession:
         if self._cache is None:
             return PricingSession(self)
@@ -553,7 +533,8 @@ class CounterModeProtection(ProtectionScheme):
         sequential runs stream through the reuse-distance engine; a
         single batch rides the same path as a whole trace.
         """
-        return self.price_trace([batch])[0]
+        with self.pricing_session() as session:
+            return session.price(batch)
 
     def _price_batch_engine(self, batch: AccessBatch, engine: LruEngine,
                             sink: EventSink) -> ProtectionTraffic:
@@ -820,7 +801,7 @@ class CounterModeProtection(ProtectionScheme):
         """One sequential run of MAC lines through the metadata cache.
 
         The stream buffer guarantees each distinct MAC line is touched
-        once, in ascending order — one segment probe.
+        once, in ascending order.
         """
         assert self._cache is not None
         first_line = (self._mac_base + first_granule * ENTRY_BYTES) // CACHE_BLOCK
@@ -835,31 +816,23 @@ class CounterModeProtection(ProtectionScheme):
             if writes:
                 traffic.mac_seq += n_lines * CACHE_BLOCK
             return
-        probe = self._cache.probe_segment(
-            first_line * CACHE_BLOCK, n_lines, dirty=writes,
-            parent_of=self._parent_of,
-        )
-        self._route_probe(traffic, probe, sequential=True)
+        for line in range(first_line, last_line + 1):
+            self._stream_line(traffic, line * CACHE_BLOCK, writes)
 
-    def _route_probe(self, traffic: ProtectionTraffic, probe, sequential: bool,
-                     category: str | None = None) -> None:
-        """Attribute a segment probe's events to the traffic buckets.
+    def _stream_line(self, traffic: ProtectionTraffic, address: int,
+                     writes: bool) -> bool:
+        """Touch one stream-buffered metadata line; True when it missed.
 
-        Misses fetch with the stream; writebacks and the ancestor misses
-        of their chains land at effectively random addresses, so both are
-        scattered (exactly as the per-line walk routed them).
+        A miss is fetched with the stream.  A dirty victim leaves the
+        chip through :meth:`_handle_writeback`, whose chain runs to
+        completion before the stream touches its next line.
         """
-        for address in probe.misses:
-            self._route_metadata(
-                traffic, address, CACHE_BLOCK, sequential=sequential,
-                category=category,
-            )
-        for address in probe.writebacks:
-            self._route_metadata(traffic, address, CACHE_BLOCK, sequential=False)
-        for address in probe.parent_misses:
-            self._route_metadata(
-                traffic, address, CACHE_BLOCK, sequential=False, category="tree"
-            )
+        outcome = self._cache.access(address, dirty=writes)
+        if not outcome.hit:
+            self._route_metadata(traffic, address, CACHE_BLOCK, sequential=True)
+        if outcome.writeback_address is not None:
+            self._handle_writeback(traffic, outcome.writeback_address)
+        return not outcome.hit
 
     def _flush_as_writebacks(self, traffic: ProtectionTraffic) -> None:
         """Evict everything from the cache ahead of a flooding stream."""
@@ -877,7 +850,7 @@ class CounterModeProtection(ProtectionScheme):
 
     def _vn_segment(self, traffic: ProtectionTraffic, address: int, end: int,
                     writes: bool) -> None:
-        """One sequential run of VN lines: segment probe + tree walk."""
+        """One sequential run of VN lines, then the tree walk of its misses."""
         assert self._cache is not None and self._tree is not None
         first_line = (address // CACHE_BLOCK) // _ENTRIES_PER_LINE
         last_line = ((end - 1) // CACHE_BLOCK) // _ENTRIES_PER_LINE
@@ -885,16 +858,13 @@ class CounterModeProtection(ProtectionScheme):
         if n_lines >= self._cache.capacity_lines:
             self._vn_flood(traffic, n_lines, writes, stream=True)
             return
-        probe = self._cache.probe_segment(
-            self._vn_base + first_line * CACHE_BLOCK, n_lines, dirty=writes,
-            parent_of=self._parent_of,
-        )
-        self._route_probe(traffic, probe, sequential=True, category="vn")
-        if probe.misses:
-            missed_leaves = [
-                (line - self._vn_base) // CACHE_BLOCK for line in probe.misses
-            ]
-            self._walk_tree(traffic, missed_leaves, stream=True)
+        missed_leaves = [
+            leaf for leaf in range(first_line, last_line + 1)
+            if self._stream_line(traffic, self._vn_base + leaf * CACHE_BLOCK,
+                                 writes)
+        ]
+        if missed_leaves:
+            self._walk_tree(traffic, missed_leaves)
 
     def _vn_flood(self, traffic: ProtectionTraffic, n_lines: int, writes: bool,
                   stream: bool) -> None:
@@ -962,9 +932,8 @@ class CounterModeProtection(ProtectionScheme):
         factor = 2 if writes else 1
         traffic.tree_scat += factor * tree_fetches * CACHE_BLOCK
 
-    def _walk_tree(
-        self, traffic: ProtectionTraffic, missed_leaves: list[int], stream: bool
-    ) -> None:
+    def _walk_tree(self, traffic: ProtectionTraffic,
+                   missed_leaves: list[int]) -> None:
         """Verify missed VN lines: probe ancestors until a cached one.
 
         Contiguous leaves share ancestors, so the walk proceeds level by
@@ -975,17 +944,11 @@ class CounterModeProtection(ProtectionScheme):
         pending = sorted(set(missed_leaves))
         for level in range(1, tree.stored_levels + 1):
             parents = sorted({index // tree.arity for index in pending})
-            pending = []
-            for parent in parents:
-                address = tree.node_address(level, parent)
-                outcome = self._cache.access(address, dirty=False)
-                if not outcome.hit:
-                    self._route_metadata(
-                        traffic, address, CACHE_BLOCK, sequential=stream, category="tree"
-                    )
-                    pending.append(parent)
-                if outcome.writeback_address is not None:
-                    self._handle_writeback(traffic, outcome.writeback_address)
+            pending = [
+                parent for parent in parents
+                if self._stream_line(traffic, tree.node_address(level, parent),
+                                     writes=False)
+            ]
             if not pending:
                 break  # every path reached a verified (cached) ancestor
 
@@ -1073,7 +1036,7 @@ class _BatchColumns:
 
     Every column mirrors a quantity the scalar walk computes per access;
     the batch paths consume them either as vectorized sums (pure
-    components) or as scalars driving the ordered segment probes.
+    components) or as the run columns streamed through the LRU engine.
     """
 
     end: np.ndarray
@@ -1095,8 +1058,7 @@ class _EngineSession(PricingSession):
 
     Loads the metadata cache's LRU state into the reuse-distance engine
     once, prices every batch of the stream against it, and writes state
-    and hit/miss/writeback counts back on :meth:`close` — the factored
-    body of the old whole-trace ``price_trace`` pass, so a list of
+    and hit/miss/writeback counts back on :meth:`close`, so a list of
     batches and a generator of batches price byte-identically.
     """
 

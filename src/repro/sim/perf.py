@@ -13,7 +13,7 @@ residual few-percent overhead the paper reports for MGX.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.common.errors import ConfigError
 from repro.core.access import AccessBatch, Phase
@@ -117,21 +117,20 @@ class PerformanceModel:
 
         ``batches`` optionally supplies precomputed structure-of-arrays
         views of the phases (one per phase, same order), letting a sweep
-        convert the trace once and share the columns across schemes.
+        convert the trace once and share the columns across schemes;
+        without them each phase is converted as it arrives.  A length
+        mismatch between the two is a :class:`ConfigError`.
 
         ``phases`` (and ``batches``) may be any iterables, including
         generators: each phase is priced through the scheme's
         :class:`~repro.core.schemes.base.PricingSession` as it arrives
         and then dropped, so a chunk-iterable trace far larger than
-        memory runs in bounded space — byte-identical to the list form,
-        since a session over the stream *is* ``price_trace``.
+        memory runs in bounded space — byte-identical to the list form.
         """
-        if (batches is not None and isinstance(phases, list)
-                and isinstance(batches, list)
-                and len(batches) != len(phases)):
-            raise ConfigError(
-                f"{len(batches)} batches supplied for {len(phases)} phases"
-            )
+        if batches is None:
+            pairs = ((p, AccessBatch.from_phase(p)) for p in phases)
+        else:
+            pairs = _strict_pairs(phases, batches)
         scheme.reset()
         protected = not isinstance(scheme, NoProtection)
         total = ProtectionTraffic()
@@ -141,33 +140,17 @@ class PerformanceModel:
         # phase through their reuse-distance engine in one session,
         # which is byte-identical to per-phase pricing but amortizes the
         # LRU state handling across the trace.
-        session = None
-        if batches is not None:
-            session = scheme.pricing_session()
-            pairs = zip(phases, batches)
-        elif scheme.vectorizes:
-            session = scheme.pricing_session()
-            pairs = ((p, AccessBatch.from_phase(p)) for p in phases)
-        else:
-            # Stateful per-access schemes walk accesses anyway; skip the
-            # structure-of-arrays conversion they would discard.
-            pairs = ((p, None) for p in phases)
-        for phase, batch in pairs:
-            if session is not None:
+        with scheme.pricing_session() as session:
+            for phase, batch in pairs:
                 traffic = session.price(batch)
-            else:
-                traffic = ProtectionTraffic()
-                for access in phase.accesses:
-                    traffic.merge(scheme.process(access))
-            memory_cycles = self._memory_cycles(traffic, protected)
-            total_cycles += max(phase.compute_cycles, memory_cycles)
-            total.merge(traffic)
-            if keep_phase_results:
-                phase_results.append(
-                    PhaseResult(phase.name, phase.compute_cycles, memory_cycles)
-                )
-        if session is not None:
-            session.close()
+                memory_cycles = self._memory_cycles(traffic, protected)
+                total_cycles += max(phase.compute_cycles, memory_cycles)
+                total.merge(traffic)
+                if keep_phase_results:
+                    phase_results.append(
+                        PhaseResult(phase.name, phase.compute_cycles,
+                                    memory_cycles)
+                    )
         tail = scheme.finish()
         total.merge(tail)
         total_cycles += self._memory_cycles(tail, protected)
@@ -177,3 +160,19 @@ class PerformanceModel:
             traffic=total,
             phase_results=phase_results,
         )
+
+
+def _strict_pairs(phases: Iterable[Phase], batches: Iterable[AccessBatch]
+                  ) -> Iterator[tuple[Phase, AccessBatch]]:
+    """``zip(phases, batches)`` that raises when one side runs out first."""
+    batch_iter = iter(batches)
+    paired = 0
+    for phase in phases:
+        batch = next(batch_iter, None)
+        if batch is None:
+            raise ConfigError(f"batches ran out after {paired} phases")
+        yield phase, batch
+        paired += 1
+    if next(batch_iter, None) is not None:
+        raise ConfigError(
+            f"more batches supplied than the trace's {paired} phases")

@@ -26,10 +26,10 @@ name/compute_cycles/access count, per-column dtype/offset/nbytes), so a
 load is: parse a few hundred bytes of JSON, then build **zero-copy**
 read-only :class:`AccessBatch` views with :func:`numpy.frombuffer` over
 an ``mmap`` of the file.  Phases materialize their ``MemAccess`` objects
-lazily (:class:`~repro.core.access.LazyAccessList`), so ``vectorizes=True``
-schemes price a warm-loaded trace without constructing a single access
-object — and cooperating processes mmapping the same spill share one
-copy of the columns in the OS page cache.
+lazily (:class:`~repro.core.access.LazyAccessList`), so batched pricing
+of a warm-loaded trace constructs not a single access object — and
+cooperating processes mmapping the same spill share one copy of the
+columns in the OS page cache.
 
 Encoding is equally object-free: :func:`phases_to_columns` concatenates
 the trace's existing batch columns (``BatchedTrace`` always carries

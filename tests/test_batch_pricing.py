@@ -70,6 +70,23 @@ def _price_batched(scheme, batch) -> ProtectionTraffic:
     return traffic
 
 
+def _assert_walk_matches_batch(make, accesses):
+    """The per-access ``process()`` walk ≡ ``price_batch`` on fresh
+    schemes: traffic, final LRU state, the ``finish()`` flush, and the
+    cache and scheme stats.  Returns the batch-priced scheme."""
+    walked, batched = make(), make()
+    walk = ProtectionTraffic()
+    for access in accesses:
+        walk.merge(walked.process(access))
+    batch = batched.price_batch(AccessBatch.from_accesses(accesses))
+    assert astuple(batch) == astuple(walk)
+    assert batched.cache.contents() == walked.cache.contents()
+    assert astuple(batched.finish()) == astuple(walked.finish())
+    assert batched.cache.stats.as_dict() == walked.cache.stats.as_dict()
+    assert batched.stats.as_dict() == walked.stats.as_dict()
+    return batched
+
+
 class TestAccessBatchRoundTrip:
     def test_reconstruction_is_lossless(self):
         accesses = _random_accesses(seed=7)
@@ -163,7 +180,7 @@ class TestBatchPricingEquivalence:
 
     @pytest.mark.parametrize("name", ["BP", "MGX_MAC"])
     def test_cached_schemes_never_fall_back_to_process(self, name, monkeypatch):
-        """BP/MGX_MAC batch pricing takes the segment path, not the walk."""
+        """BP/MGX_MAC batch pricing takes the engine path, not the walk."""
         scheme = scheme_suite(_PROTECTED)[name]
         batch = AccessBatch.from_accesses(_random_accesses(seed=11, n=40))
 
@@ -174,18 +191,12 @@ class TestBatchPricingEquivalence:
         traffic = scheme.price_batch(batch)
         assert traffic.total_bytes > 0
 
-    def test_all_schemes_vectorize(self):
-        """Every suite scheme advertises a batched fast path, so sweeps
-        convert each trace to columns exactly once."""
-        for name, scheme in scheme_suite(_PROTECTED).items():
-            assert scheme.vectorizes, name
-
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("cache_bytes", [1024, 4096])
     def test_tiny_caches_stress_evictions_and_chains(self, seed, cache_bytes):
         """Adversarial configs: caches small enough that every segment
         evicts, floods trigger, and writeback chains climb the tree —
-        the segment-vectorized path must still match byte for byte."""
+        the engine-backed batch path must still match byte for byte."""
         from repro.core.schemes.counter_mode import (
             FINE_MAC_POLICY,
             CounterModeProtection,
@@ -200,10 +211,7 @@ class TestBatchPricingEquivalence:
                 cache_bytes=cache_bytes,
             )
 
-        accesses = _random_accesses(seed, n=80)
-        expected = _price_per_access(make(), accesses)
-        actual = _price_batched(make(), AccessBatch.from_accesses(accesses))
-        assert astuple(actual) == astuple(expected)
+        _assert_walk_matches_batch(make, _random_accesses(seed, n=80))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("ways", [2, 4])
@@ -226,11 +234,8 @@ class TestBatchPricingEquivalence:
                 cache_ways=ways,
             )
 
-        accesses = _random_accesses(seed, n=80)
-        batched = make()
-        expected = _price_per_access(make(), accesses)
-        actual = _price_batched(batched, AccessBatch.from_accesses(accesses))
-        assert astuple(actual) == astuple(expected)
+        batched = _assert_walk_matches_batch(make,
+                                             _random_accesses(seed, n=80))
         assert batched.cache.ways == ways
         # Whatever backend is active prices the set-associative config:
         # native when the compiled engine is available, never a scalar
@@ -267,15 +272,17 @@ class TestBatchPricingEquivalence:
         assert astuple(actual) == astuple(expected)
 
     @pytest.mark.parametrize("name", ["BP", "MGX_MAC"])
-    def test_price_trace_matches_per_batch_pricing(self, name):
-        """Whole-trace engine pricing ≡ per-batch pricing, per phase —
-        traffic, scheme stats, cache stats and final LRU state alike."""
+    def test_session_matches_batch_pricing(self, name):
+        """One engine session over the trace ≡ per-batch pricing, per
+        phase — traffic, scheme stats, cache stats and final LRU state
+        alike."""
         workload = dnn_workload("AlexNet", "Cloud", training=True)
         batches = list(workload.trace.batches)
         per_batch_scheme = scheme_suite(workload.protected_bytes)[name]
         trace_scheme = scheme_suite(workload.protected_bytes)[name]
         per_batch = [per_batch_scheme.price_batch(batch) for batch in batches]
-        whole = trace_scheme.price_trace(batches)
+        with trace_scheme.pricing_session() as session:
+            whole = [session.price(batch) for batch in batches]
         assert [astuple(t) for t in whole] == [astuple(t) for t in per_batch]
         assert astuple(trace_scheme.finish()) == astuple(per_batch_scheme.finish())
         assert trace_scheme.stats.as_dict() == per_batch_scheme.stats.as_dict()

@@ -141,6 +141,11 @@ def _sequential_trace():
             AccessBatch.from_accesses(accesses[2:])]
 
 
+def _price_in_session(scheme, batches):
+    with scheme.pricing_session() as session:
+        return [session.price(batch) for batch in batches]
+
+
 @needs_native
 class TestCrossBackendPricing:
     def test_suite_tables_identical_across_backends(self, monkeypatch):
@@ -152,7 +157,7 @@ class TestCrossBackendPricing:
             suite = scheme_suite(1 << 20)
             table = {}
             for name, scheme in suite.items():
-                traffics = scheme.price_trace(batches)
+                traffics = _price_in_session(scheme, batches)
                 tail = scheme.finish()
                 table[name] = ([t.__dict__ for t in traffics], tail.__dict__)
                 if isinstance(scheme, CounterModeProtection) and \
@@ -170,14 +175,14 @@ class TestCrossBackendPricing:
             protected_bytes=1 << 20, cache_bytes=32 * 1024,
         )
         batches = _sequential_trace()
-        first = [t.__dict__ for t in scheme.price_trace(batches)]
+        first = [t.__dict__ for t in _price_in_session(scheme, batches)]
         assert scheme._engine is not None
         clone = pickle.loads(pickle.dumps(scheme))
         assert clone._engine is None
         # The clone carries the cache state and prices the next batches
         # exactly as the original would.
-        again_orig = [t.__dict__ for t in scheme.price_trace(batches)]
-        again_clone = [t.__dict__ for t in clone.price_trace(batches)]
+        again_orig = [t.__dict__ for t in _price_in_session(scheme, batches)]
+        again_clone = [t.__dict__ for t in _price_in_session(clone, batches)]
         assert again_orig == again_clone
         assert first  # the warm-up actually priced something
 
@@ -229,7 +234,7 @@ class TestClosedFormWalk:
         )
 
     def _price(self, scheme, batches):
-        traffic = [t.__dict__ for t in scheme.price_trace(batches)]
+        traffic = [t.__dict__ for t in _price_in_session(scheme, batches)]
         return traffic, scheme._cache.contents(), scheme.stats.as_dict()
 
     def test_flood_adjacent_walk_matches_probed_walk(self, monkeypatch,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.units import MHZ, MIB
-from repro.core.access import DataClass, Phase, read, write
+from repro.core.access import AccessBatch, DataClass, Phase, read, write
 from repro.core.schemes import NoProtection, make_baseline, make_mgx
 from repro.dram.model import DramConfig, DramModel
 from repro.sim.perf import PerfConfig, PerformanceModel, SimResult
@@ -89,6 +89,36 @@ class TestPerformanceModel:
         first = model.run(phases, scheme)
         second = model.run(phases, scheme)
         assert second.total_cycles == pytest.approx(first.total_cycles)
+
+
+    @pytest.mark.parametrize("phase_shape,batch_shape", [
+        ("list", "list"), ("generator", "list"), ("list", "generator"),
+    ])
+    @pytest.mark.parametrize("n_batches", [1, 2, 3])
+    def test_phases_and_batches_pair_strictly(self, phase_shape, batch_shape,
+                                              n_batches):
+        """Mismatched phase/batch counts are rejected whatever the
+        iterable types — never silently truncated to the shorter one."""
+        def shaped(items, shape):
+            return list(items) if shape == "list" else (x for x in items)
+
+        phases = [Phase(f"p{i}", 0.0, [write(i * MIB, 1 * MIB)])
+                  for i in range(2)]
+        batches = [AccessBatch.from_phase(phases[i % 2])
+                   for i in range(n_batches)]
+        model = _model()
+
+        def run():
+            return model.run(shaped(phases, phase_shape),
+                             make_baseline(256 * MIB),
+                             batches=shaped(batches, batch_shape))
+
+        if n_batches == len(phases):
+            expected = model.run(phases, make_baseline(256 * MIB))
+            assert run().total_cycles == expected.total_cycles
+        else:
+            with pytest.raises(ConfigError):
+                run()
 
 
 class TestSweeps:
